@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,8 +17,10 @@ import (
 // A tracing-induced divergence — an extra RNG draw, a reordered pass,
 // a span leaking into output — fails here byte-for-byte.
 func TestQuickGoldenWithTracing(t *testing.T) {
-	var clock time.Duration
-	tr := obs.NewSimTracer(func() time.Duration { clock += time.Microsecond; return clock })
+	// The experiment pool runs cells on several goroutines, so the
+	// clock they all read must be safe for concurrent use.
+	var clock atomic.Int64
+	tr := obs.NewSimTracer(func() time.Duration { return time.Duration(clock.Add(int64(time.Microsecond))) })
 	core.SetTracer(tr)
 	defer core.SetTracer(nil)
 

@@ -97,10 +97,6 @@ type Cloud struct {
 	shards [cloudShards]cloudShard
 	nextID atomic.Uint64
 
-	// persist is the durable state attachment (nil for in-RAM clouds,
-	// the default) — see persist.go and Open.
-	persist *persistState
-
 	// Uploads counts committed upload sessions; DedupSkips counts
 	// uploads fully avoided by deduplication.
 	Uploads, DedupSkips atomic.Int64
@@ -287,7 +283,6 @@ func (c *Cloud) Commit(user, name string, blob *content.Blob, dirty []chunker.Ra
 	c.Uploads.Add(1)
 
 	c.recordDedup(user, blob)
-	c.persistEntry(user, e)
 	// The mid-layer store is not itself concurrency-safe; configs that
 	// set one (the ablation experiments) replay sequentially.
 	c.applyMidLayer(user, name, blob, dirty, isCreate)
@@ -347,7 +342,6 @@ func (c *Cloud) Delete(user, name string) error {
 	e.Deleted = true
 	e.Version++
 	sh.mu.Unlock()
-	c.persistEntry(user, e)
 	if c.cfg.MidLayer != nil && e.Blob != nil && e.Blob.Size() <= content.MaterializeLimit {
 		if _, err := c.cfg.MidLayer.Delete(user + "/" + name); err != nil {
 			panic(fmt.Sprintf("cloud: mid-layer delete: %v", err))

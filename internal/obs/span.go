@@ -148,16 +148,6 @@ func (t *Tracer) Start(name string, attrs ...Attr) *Span {
 	return t.newSpan(name, 0, 0, t.now(), attrs)
 }
 
-// StartAt opens a root span with an explicit start time — for layers
-// (like the analytical network model) that compute when an operation
-// began rather than observing it.
-func (t *Tracer) StartAt(name string, start time.Duration, attrs ...Attr) *Span {
-	if t == nil {
-		return nil
-	}
-	return t.newSpan(name, 0, 0, start, attrs)
-}
-
 // StartRemote opens a local root span whose logical parent is a span
 // in another process: trace names that process's tracer and parentSpan
 // the span within it. The linkage is recorded on the span so Merge can
@@ -195,14 +185,6 @@ func (s *Span) Child(name string, attrs ...Attr) *Span {
 		return nil
 	}
 	return s.tr.newSpan(name, s.id, s.root, s.tr.now(), attrs)
-}
-
-// ChildAt opens a nested span with an explicit start time.
-func (s *Span) ChildAt(name string, start time.Duration, attrs ...Attr) *Span {
-	if s == nil {
-		return nil
-	}
-	return s.tr.newSpan(name, s.id, s.root, start, attrs)
 }
 
 // Set attaches (or appends) an attribute to the span.

@@ -5,10 +5,9 @@ import (
 	"errors"
 )
 
-// Record codec helpers shared by the package's callers: the WAL itself
-// is value-free about record contents, but every caller's codec wants
-// the same primitives — little-endian fixed-width integers and
-// u32-length-prefixed strings and byte slices.
+// Record codec primitives: the WAL itself is value-free about record
+// contents, but a caller's codec wants little-endian fixed-width
+// integers and u32-length-prefixed strings and byte slices.
 
 // AppendStr appends a u32-length-prefixed string.
 func AppendStr(b []byte, s string) []byte {
@@ -36,9 +35,6 @@ func NewRecCursor(b []byte) *RecCursor { return &RecCursor{b: b} }
 
 // Err reports the first decode failure, nil if all reads fit.
 func (c *RecCursor) Err() error { return c.err }
-
-// Rest returns the undecoded remainder.
-func (c *RecCursor) Rest() []byte { return c.b }
 
 func (c *RecCursor) fail() {
 	if c.err == nil {

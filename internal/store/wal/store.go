@@ -143,9 +143,6 @@ func (st *Store) SetMetrics(m *Metrics) {
 	st.log.metrics = m
 }
 
-// Dir returns the state directory path.
-func (st *Store) Dir() string { return st.dir }
-
 // Generation returns the current snapshot/log generation.
 func (st *Store) Generation() uint64 { return st.gen }
 
@@ -159,16 +156,9 @@ func (st *Store) Sync() error { return st.log.Sync() }
 // the quantity compaction policies threshold on.
 func (st *Store) LogBytes() int64 { return st.log.Size() + st.log.Pending() }
 
-// Pending reports the buffered-but-unsynced byte volume — the quantity
-// group-commit batching policies threshold on.
-func (st *Store) Pending() int64 { return st.log.Pending() }
-
 // FailAt arms the injected crash point on the current log at an
 // absolute log-file offset (see Log.FailAt).
 func (st *Store) FailAt(offset int64) { st.log.FailAt(offset) }
-
-// Dead reports whether the store has crashed.
-func (st *Store) Dead() bool { return st.log.Dead() }
 
 // Compact writes state — the caller's full current state rendered as
 // records — as the next generation's snapshot, starts that

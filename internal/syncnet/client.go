@@ -41,7 +41,6 @@ type Client struct {
 	user        string
 	device      string
 	compression comp.Level
-	blockSize   int
 	retry       RetryPolicy
 	dialer      func() (net.Conn, error)
 	jitterRNG   jitterXorshift
@@ -149,12 +148,6 @@ type ClientOption func(*Client)
 // server's configuration).
 func WithCompression(l comp.Level) ClientOption {
 	return func(c *Client) { c.compression = l }
-}
-
-// WithBlockSize sets the delta-sync granularity requested from the
-// server (0 = server default).
-func WithBlockSize(bs int) ClientOption {
-	return func(c *Client) { c.blockSize = bs }
 }
 
 // WithTracer records client-side spans (one per operation, with
@@ -552,7 +545,8 @@ func (c *Client) deltaUpload(name string, data []byte) (UploadStats, error) {
 	defer sp.End()
 	var stats UploadStats
 	defer func() { sp.Set("payload_bytes", stats.PayloadBytes) }()
-	if err := c.send(&protocol.SigRequest{Name: name, BlockSize: uint32(c.blockSize)}); err != nil {
+	// BlockSize 0 asks for the server's configured granularity.
+	if err := c.send(&protocol.SigRequest{Name: name}); err != nil {
 		return stats, err
 	}
 	m, err := c.read()

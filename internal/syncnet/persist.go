@@ -35,8 +35,7 @@ const (
 )
 
 // DefaultCompactLogBytes is the log-size threshold at which a durable
-// server folds its log into a snapshot when ServerConfig.CompactLogBytes
-// is zero.
+// server folds its log into a snapshot.
 const DefaultCompactLogBytes = 64 << 20
 
 // OpenServer constructs a server, replaying durable state from
@@ -49,9 +48,6 @@ func OpenServer(cfg ServerConfig) (*Server, error) {
 	if cfg.BlockSize < 0 {
 		panic(fmt.Sprintf("syncnet: negative block size %d", cfg.BlockSize))
 	}
-	if cfg.CompactLogBytes == 0 {
-		cfg.CompactLogBytes = DefaultCompactLogBytes
-	}
 	s := &Server{
 		cfg:       cfg,
 		users:     make(map[string]map[string]*serverFile),
@@ -61,6 +57,7 @@ func OpenServer(cfg ServerConfig) (*Server, error) {
 		conns:     make(map[net.Conn]struct{}),
 		pending:   make(map[pendingKey]*pendingUpload),
 		crashedC:  make(chan struct{}),
+		compactAt: DefaultCompactLogBytes,
 		om:        newServerObs(cfg.Metrics),
 	}
 	if cfg.StateDir != "" {
@@ -204,7 +201,7 @@ func (s *Server) persistSyncLocked() error {
 		s.markCrashedLocked()
 		return fmt.Errorf("%w: %v", ErrServerCrashed, err)
 	}
-	if s.persist.LogBytes() > s.cfg.CompactLogBytes {
+	if s.persist.LogBytes() > s.compactAt {
 		if err := s.persist.Compact(s.snapshotRecordsLocked()); err != nil {
 			s.markCrashedLocked()
 			return fmt.Errorf("%w: %v", ErrServerCrashed, err)
@@ -332,7 +329,8 @@ func (s *Server) StateLogBytes() int64 {
 
 // CompactState folds the durable log into a snapshot now, regardless of
 // the size threshold (no-op for in-RAM servers). Tests use it to cover
-// the snapshot-replay path without writing CompactLogBytes of traffic.
+// the snapshot-replay path without writing DefaultCompactLogBytes of
+// traffic.
 func (s *Server) CompactState() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -358,4 +356,3 @@ func (s *Server) closePersist() error {
 	}
 	return p.Close()
 }
-

@@ -92,7 +92,10 @@ func TestDurableCompaction(t *testing.T) {
 	dir := t.TempDir()
 	// A tiny threshold so ordinary traffic crosses it: every commit's
 	// group commit also compacts, exercising snapshot-over-snapshot.
-	srv, dial := startServer(t, ServerConfig{StateDir: dir, CompactLogBytes: 1024})
+	srv, dial := startServer(t, ServerConfig{StateDir: dir})
+	srv.mu.Lock()
+	srv.compactAt = 1024
+	srv.mu.Unlock()
 	c, _ := dial("alice")
 
 	if _, err := c.Upload("a", content.Random(8_000, 1).Bytes()); err != nil {

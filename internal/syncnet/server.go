@@ -105,10 +105,6 @@ type ServerConfig struct {
 	// acknowledged, and OpenServer replays log-over-snapshot to recover
 	// after a crash. Empty keeps the historical in-RAM behaviour.
 	StateDir string
-	// CompactLogBytes is the log size at which the durable state is
-	// folded into a snapshot (0 = DefaultCompactLogBytes). Only
-	// meaningful with StateDir set.
-	CompactLogBytes int64
 }
 
 type serverFile struct {
@@ -187,6 +183,9 @@ type Server struct {
 	persist  *wal.Store
 	crashed  atomic.Bool
 	crashedC chan struct{}
+	// compactAt is the log size at which persistSync folds the state
+	// into a snapshot: DefaultCompactLogBytes outside tests.
+	compactAt int64
 
 	// closers are torn down by Close after the handlers drain —
 	// auxiliary lifecycles (like the obs HTTP endpoint) tied to the
@@ -821,27 +820,53 @@ func (ss *session) handle(msg protocol.Message) error {
 }
 
 func (ss *session) onIndexUpdate(m *protocol.IndexUpdate) error {
+	up := ss.admit(m.Name, m.FileHash, m.Size)
+	ss.uploads[up.id] = &up
+	return ss.send(&protocol.IndexReply{FileID: up.id, DedupHit: up.dedupHit})
+}
+
+// admit resolves an announced upload — single or bundled — against the
+// user's files and the dedup index: the ID it commits under (the
+// existing file's, or a fresh one) and whether the client may skip
+// sending content. An index hit whose content is gone counts as a miss.
+func (ss *session) admit(name string, hash protocol.Fingerprint, size int64) pendingUpload {
 	s := ss.srv
 	s.mu.Lock()
-	f := s.files(ss.user)[m.Name]
-	var id uint64
-	if f != nil {
-		id = f.id
+	defer s.mu.Unlock()
+	up := pendingUpload{name: name, size: size, hash: hash}
+	if f := s.files(ss.user)[name]; f != nil {
+		up.id = f.id
 	} else {
 		s.nextID++
-		id = s.nextID
+		up.id = s.nextID
 	}
-	hit := s.index.Lookup(ss.user, m.FileHash, m.Size)
-	if hit {
-		if _, ok := s.byHash[m.FileHash]; !ok {
-			// Index says yes but content is gone — treat as miss.
-			hit = false
-		}
+	if s.index.Lookup(ss.user, hash, size) {
+		_, up.dedupHit = s.byHash[hash]
 	}
-	s.mu.Unlock()
+	return up
+}
 
-	ss.uploads[id] = &pendingUpload{id: id, name: m.Name, size: m.Size, hash: m.FileHash, dedupHit: hit}
-	return ss.send(&protocol.IndexReply{FileID: id, DedupHit: hit})
+// content returns an upload's raw bytes — the stored copy on a dedup
+// hit, else the decompressed payload — checked against the announced
+// size and MD5. On failure, reason is the short text for the peer and
+// err the detail; the caller decides whether the failure ends the
+// session (a single commit) or only rejects one entry (a bundle).
+func (ss *session) content(up *pendingUpload) (raw []byte, reason string, err error) {
+	s := ss.srv
+	if up.dedupHit {
+		s.mu.Lock()
+		raw = s.byHash[up.hash]
+		s.mu.Unlock()
+	} else if raw, err = comp.Decompress(up.buf, s.cfg.Compression); err != nil {
+		return nil, "undecodable content", fmt.Errorf("syncnet: decompress: %w", err)
+	}
+	if int64(len(raw)) != up.size {
+		return nil, "content size mismatch", fmt.Errorf("syncnet: committed %d bytes, announced %d", len(raw), up.size)
+	}
+	if md5.Sum(raw) != up.hash {
+		return nil, "content hash mismatch", fmt.Errorf("syncnet: content hash mismatch for %q", up.name)
+	}
+	return raw, "", nil
 }
 
 // onResumeQuery adopts a stashed partial upload matching the client's
@@ -886,73 +911,56 @@ func (ss *session) onCommit(m *protocol.Commit) error {
 	delete(ss.uploads, m.FileID)
 
 	ta := ss.applyStart()
-	var raw []byte
-	s := ss.srv
-	if up.dedupHit {
-		s.mu.Lock()
-		raw = s.byHash[up.hash]
-		s.mu.Unlock()
-	} else {
-		var err error
-		raw, err = comp.Decompress(up.buf, s.cfg.Compression)
-		if err != nil {
-			ss.sendErr(protocol.ErrBadRequest, "undecodable content")
-			return fmt.Errorf("syncnet: decompress: %w", err)
-		}
-	}
-	if int64(len(raw)) != up.size {
-		ss.sendErr(protocol.ErrBadRequest, "content size mismatch")
-		return fmt.Errorf("syncnet: committed %d bytes, announced %d", len(raw), up.size)
-	}
-	if md5.Sum(raw) != up.hash {
-		ss.sendErr(protocol.ErrBadRequest, "content hash mismatch")
-		return fmt.Errorf("syncnet: content hash mismatch for %q", up.name)
+	raw, reason, err := ss.content(up)
+	if err != nil {
+		ss.sendErr(protocol.ErrBadRequest, reason)
+		return err
 	}
 
-	version := ss.store(up.name, up.id, raw, up.hash, up.dedupHit)
+	version := ss.store(up, raw)
 	ss.applyEnd(ta)
 	// Durability before acknowledgement: the commit must survive kill -9
 	// once the client has seen the Ack.
-	if err := s.persistSync(); err != nil {
+	if err := ss.srv.persistSync(); err != nil {
 		ss.sendErr(protocol.ErrInternal, "server crashed")
 		return err
 	}
 	return ss.send(&protocol.Ack{FileID: up.id, Version: version, OK: true})
 }
 
-// store commits raw content under the user's name and returns the new
-// version.
-func (ss *session) store(name string, id uint64, raw []byte, hash protocol.Fingerprint, wasDedup bool) uint64 {
+// store commits an admitted upload's verified raw content under the
+// user's name and returns the new version.
+func (ss *session) store(up *pendingUpload, raw []byte) uint64 {
 	s := ss.srv
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	files := s.files(ss.user)
-	f := files[name]
+	f := files[up.name]
 	if f == nil {
-		f = &serverFile{id: id, name: name}
-		files[name] = f
+		f = &serverFile{id: up.id, name: up.name}
+		files[up.name] = f
 	}
 	f.data = raw
-	f.hash = hash
+	f.hash = up.hash
 	f.version++
 	f.deleted = false
 	f.history++
-	s.index.Add(ss.user, hash, int64(len(raw)))
-	if _, ok := s.byHash[hash]; !ok {
-		s.byHash[hash] = raw
+	s.index.Add(ss.user, up.hash, int64(len(raw)))
+	if _, ok := s.byHash[up.hash]; !ok {
+		s.byHash[up.hash] = raw
 		s.stats.BytesStored += int64(len(raw))
-		s.persistContentLocked(hash, raw)
+		s.persistContentLocked(up.hash, raw)
 	}
 	s.persistFileLocked(ss.user, f)
 	s.stats.Uploads++
-	if wasDedup {
+	if up.dedupHit {
 		s.stats.DedupSkips++
 		s.om.dedupSkips.Inc()
 	}
 	s.om.uploads.Inc()
 	s.om.bytesStored.Set(s.stats.BytesStored)
 	ss.contentBytes += int64(len(raw))
-	s.logf("stored %s/%s v%d (%d bytes, dedup=%v)", ss.user, name, f.version, len(raw), wasDedup)
+	s.logf("stored %s/%s v%d (%d bytes, dedup=%v)", ss.user, up.name, f.version, len(raw), up.dedupHit)
 	return f.version
 }
 
@@ -969,41 +977,15 @@ func (ss *session) onBundle(m *protocol.Bundle) error {
 	ta := ss.applyStart()
 	for i := range m.Entries {
 		en := &m.Entries[i]
-		res := &results[i]
-
-		s.mu.Lock()
-		f := s.files(ss.user)[en.Name]
-		var id uint64
-		if f != nil {
-			id = f.id
-		} else {
-			s.nextID++
-			id = s.nextID
-		}
-		hit := s.index.Lookup(ss.user, en.FileHash, en.Size)
-		var raw []byte
-		if hit {
-			var ok bool
-			if raw, ok = s.byHash[en.FileHash]; !ok {
-				// Index says yes but content is gone — treat as miss.
-				hit = false
-			}
-		}
-		s.mu.Unlock()
-
-		if !hit {
-			var err error
-			if raw, err = comp.Decompress(en.Payload, s.cfg.Compression); err != nil {
-				s.logf("bundle entry %s/%s: undecodable content", ss.user, en.Name)
-				continue
-			}
-		}
-		if int64(len(raw)) != en.Size || md5.Sum(raw) != en.FileHash {
-			s.logf("bundle entry %s/%s: size or hash mismatch", ss.user, en.Name)
+		up := ss.admit(en.Name, en.FileHash, en.Size)
+		up.buf = en.Payload
+		raw, reason, err := ss.content(&up)
+		if err != nil {
+			s.logf("bundle entry %s/%s: %s", ss.user, en.Name, reason)
 			continue
 		}
-		version := ss.store(en.Name, id, raw, en.FileHash, hit)
-		res.FileID, res.Version, res.DedupHit, res.OK = id, version, hit, true
+		version := ss.store(&up, raw)
+		results[i] = protocol.BundleResult{FileID: up.id, Version: version, DedupHit: up.dedupHit, OK: true}
 		committed++
 	}
 	ss.applyEnd(ta)

@@ -80,9 +80,6 @@ func (f *File) Size() int64 { return f.blob.Size() }
 // Gen returns the generation of the file's latest change.
 func (f *File) Gen() uint64 { return f.gen }
 
-// CreatedGen returns the generation at which the file was created.
-func (f *File) CreatedGen() uint64 { return f.created }
-
 // EditsSince returns the merged dirty byte ranges of all edits with
 // generation > gen. If the file was created after gen, the whole
 // current content is dirty.

@@ -16,7 +16,6 @@ package watchsync
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -161,17 +160,5 @@ func (m *MemSource) Files() map[string][]byte {
 	for p, d := range m.files {
 		out[p] = append([]byte(nil), d...)
 	}
-	return out
-}
-
-// Paths lists the tree's current paths, sorted.
-func (m *MemSource) Paths() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]string, 0, len(m.files))
-	for p := range m.files {
-		out = append(out, p)
-	}
-	sort.Strings(out)
 	return out
 }
