@@ -84,11 +84,11 @@ bench-kernel-diff:
 
 # bench-load records the live-sync throughput baseline: syncload drives
 # open-loop arrivals of small-file batches against an in-process syncd
-# over real TCP in all three modes (lockstep, pipelined, bundle) at a
-# rate past lockstep saturation, verifying ledger exactness as it goes,
-# and writes sustained req/s, latency quantiles, and peak RSS per mode
-# into BENCH_load.json. The headline is the shape: the batched paths
-# must sustain a multiple of lockstep's files/s at equal-or-better p99.
+# over real TCP in both modes (lockstep, bundle) at a rate past
+# lockstep saturation, verifying ledger exactness as it goes, and
+# writes sustained req/s, latency quantiles, and peak RSS per mode into
+# BENCH_load.json. The headline is the shape: bundle mode must sustain
+# a multiple of lockstep's files/s at equal-or-better p99.
 SYNCLOAD_ARGS = -accounts 256 -rate 8000 -duration 4s -batch 8 \
 	-max-size 4096 -seed 1 -check -quiet
 

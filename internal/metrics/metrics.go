@@ -1,5 +1,5 @@
 // Package metrics provides the small statistical toolkit the measurement
-// harness is built on: byte/packet counters, sample distributions with
+// harness is built on: sample distributions with exact nearest-rank
 // quantiles and CDF evaluation, and text rendering helpers for tables.
 package metrics
 
@@ -8,28 +8,6 @@ import (
 	"math"
 	"sort"
 )
-
-// Counter accumulates a monotonically increasing integer quantity such
-// as bytes on the wire. The zero value is ready to use.
-type Counter struct {
-	n int64
-}
-
-// Add increases the counter by delta. Negative deltas panic: counters
-// are monotone by contract, and a negative delta always indicates an
-// accounting bug upstream.
-func (c *Counter) Add(delta int64) {
-	if delta < 0 {
-		panic(fmt.Sprintf("metrics: Counter.Add(%d): negative delta", delta))
-	}
-	c.n += delta
-}
-
-// Value reports the accumulated total.
-func (c *Counter) Value() int64 { return c.n }
-
-// Reset zeroes the counter.
-func (c *Counter) Reset() { c.n = 0 }
 
 // Distribution collects float64 samples and answers order-statistics
 // queries. The zero value is ready to use. Samples are sorted lazily on
@@ -49,17 +27,6 @@ func (d *Distribution) Add(v float64) {
 	d.sorted = false
 }
 
-// AddN records the same sample value n times. Useful when expanding
-// weighted trace records.
-func (d *Distribution) AddN(v float64, n int) {
-	for i := 0; i < n; i++ {
-		d.Add(v)
-	}
-}
-
-// Count reports the number of samples.
-func (d *Distribution) Count() int { return len(d.samples) }
-
 // Sum reports the sum of all samples.
 func (d *Distribution) Sum() float64 {
 	var s float64
@@ -75,15 +42,6 @@ func (d *Distribution) Mean() float64 {
 		return 0
 	}
 	return d.Sum() / float64(len(d.samples))
-}
-
-// Min reports the smallest sample, or 0 for an empty distribution.
-func (d *Distribution) Min() float64 {
-	if len(d.samples) == 0 {
-		return 0
-	}
-	d.sort()
-	return d.samples[0]
 }
 
 // Max reports the largest sample, or 0 for an empty distribution.

@@ -53,8 +53,8 @@ func (c *RecCursor) U8() uint8 {
 	return v
 }
 
-// U32 reads a little-endian uint32.
-func (c *RecCursor) U32() uint32 {
+// u32 reads a little-endian uint32.
+func (c *RecCursor) u32() uint32 {
 	if c.err != nil || len(c.b) < 4 {
 		c.fail()
 		return 0
@@ -78,8 +78,8 @@ func (c *RecCursor) U64() uint64 {
 // I64 reads a little-endian int64 (two's-complement of U64).
 func (c *RecCursor) I64() int64 { return int64(c.U64()) }
 
-// Take reads n raw bytes (aliasing the record).
-func (c *RecCursor) Take(n int) []byte {
+// take reads n raw bytes (aliasing the record).
+func (c *RecCursor) take(n int) []byte {
 	if c.err != nil || n < 0 || len(c.b) < n {
 		c.fail()
 		return nil
@@ -90,13 +90,13 @@ func (c *RecCursor) Take(n int) []byte {
 }
 
 // Str reads a u32-length-prefixed string.
-func (c *RecCursor) Str() string { return string(c.Take(int(c.U32()))) }
+func (c *RecCursor) Str() string { return string(c.take(int(c.u32()))) }
 
 // Bytes reads a u32-length-prefixed byte slice (aliasing the record).
-func (c *RecCursor) Bytes() []byte { return c.Take(int(c.U32())) }
+func (c *RecCursor) Bytes() []byte { return c.take(int(c.u32())) }
 
 // Hash16 reads a 16-byte digest (an MD5 fingerprint).
 func (c *RecCursor) Hash16() (h [16]byte) {
-	copy(h[:], c.Take(len(h)))
+	copy(h[:], c.take(len(h)))
 	return h
 }

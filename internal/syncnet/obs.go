@@ -35,10 +35,9 @@ type serverObs struct {
 	sessionTUEMilli *obs.Histogram
 	requestUS       *obs.Histogram
 
-	// Phase decomposition: where a request's time goes before and during
-	// handling (WAL fsync time is metered inside internal/store/wal).
-	inboundWaitUS *obs.Histogram
-	applyUS       *obs.Histogram
+	// Phase decomposition: where a request's handling time goes (WAL
+	// fsync time is metered inside internal/store/wal).
+	applyUS *obs.Histogram
 }
 
 // newServerObs registers the server's metric set on reg (no-op
@@ -66,8 +65,7 @@ func newServerObs(reg *obs.Registry) serverObs {
 		sessionTUEMilli: reg.Histogram("syncd_session_tue_milli", "Per-session TUE x1000: wire bytes received / content bytes committed, for sessions that committed content."),
 		requestUS:       reg.Histogram("syncd_request_duration_us", "Per-request handling time in microseconds."),
 
-		inboundWaitUS: reg.Histogram("syncd_inbound_queue_wait_us", "Microseconds a fully read request waited in the connection's inbound queue before dispatch (MaxInflight backpressure)."),
-		applyUS:       reg.Histogram("syncd_apply_us", "Microseconds spent applying a mutation to in-memory state (decode, verify, store), excluding the WAL group commit."),
+		applyUS: reg.Histogram("syncd_apply_us", "Microseconds spent applying a mutation to in-memory state (decode, verify, store), excluding the WAL group commit."),
 	}
 }
 

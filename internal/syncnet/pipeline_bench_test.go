@@ -46,18 +46,9 @@ func BenchmarkUploadBundle8(b *testing.B) {
 	})
 }
 
-func BenchmarkUploadPipelined8(b *testing.B) {
-	// Window 1 over net.Pipe: the unbuffered transport cannot absorb
-	// outstanding replies (see UploadPipelined's doc comment).
-	benchBatchClient(b, 8, func(c *Client, batch []FileUpload) error {
-		_, err := c.UploadPipelined(batch, 1)
-		return err
-	})
-}
-
 // BenchmarkUploadLockstep8 uploads the same batch one blocking Upload
-// at a time — the per-operation allocation comparator for the batched
-// paths above.
+// at a time — the per-operation allocation comparator for the bundle
+// path above.
 func BenchmarkUploadLockstep8(b *testing.B) {
 	benchBatchClient(b, 8, func(c *Client, batch []FileUpload) error {
 		for _, f := range batch {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -69,124 +70,126 @@ func TestUploadBundleRoundTrip(t *testing.T) {
 	}
 }
 
-func TestUploadPipelinedRoundTrip(t *testing.T) {
+// TestUploadBundleRepeatedName: entries commit in order, so a name
+// repeated within one bundle advances its version once per entry and
+// ends holding the last entry's content.
+func TestUploadBundleRepeatedName(t *testing.T) {
 	_, dial := startServer(t, ServerConfig{})
 	c, _ := dial("alice")
-
-	files := makeBatch("pipe", 20, 900)
-	stats, err := c.UploadPipelined(files, 6)
+	first, last := []byte("first draft"), []byte("second draft, longer")
+	stats, err := c.UploadBundle([]FileUpload{
+		{Name: "notes.txt", Data: first},
+		{Name: "notes.txt", Data: last},
+	})
 	if err != nil {
-		t.Fatalf("UploadPipelined: %v", err)
+		t.Fatalf("UploadBundle: %v", err)
 	}
-	for i, st := range stats {
-		if st.Version != 1 || st.DedupHit {
-			t.Errorf("file %d: stats = %+v, want fresh v1", i, st)
-		}
+	if stats[0].Version != 1 || stats[1].Version != 2 {
+		t.Fatalf("versions = %d, %d; want 1, 2", stats[0].Version, stats[1].Version)
 	}
-	for _, f := range files {
-		got, err := c.Download(f.Name)
-		if err != nil {
-			t.Fatalf("download %s: %v", f.Name, err)
-		}
-		if !bytes.Equal(got, f.Data) {
-			t.Fatalf("download %s: content mismatch", f.Name)
-		}
-	}
-	// Second pipelined pass over the same content: all dedup hits, no
-	// payload sent.
-	stats, err = c.UploadPipelined(files, 6)
+	got, err := c.Download("notes.txt")
 	if err != nil {
-		t.Fatalf("second UploadPipelined: %v", err)
+		t.Fatalf("download: %v", err)
 	}
-	for i, st := range stats {
-		if !st.DedupHit || st.PayloadBytes != 0 {
-			t.Errorf("file %d: stats = %+v, want dedup hit with 0 payload", i, st)
-		}
-	}
-}
-
-// TestPipelinedWindowAboveServerInflight pins the lockstep-compatible
-// floor: a server configured with MaxInflight 1 reads one request at a
-// time, and a windowed client above that still completes over TCP (the
-// kernel buffers absorb the spill) — the knob bounds server read-ahead,
-// not correctness.
-func TestPipelinedAgainstMaxInflightOne(t *testing.T) {
-	_, dial := startServer(t, ServerConfig{MaxInflight: 1})
-	c, _ := dial("alice")
-	files := makeBatch("floor", 10, 400)
-	if _, err := c.UploadPipelined(files, 8); err != nil {
-		t.Fatalf("UploadPipelined over MaxInflight=1 server: %v", err)
-	}
-	for _, f := range files {
-		got, err := c.Download(f.Name)
-		if err != nil || !bytes.Equal(got, f.Data) {
-			t.Fatalf("download %s after pipelined upload: %v", f.Name, err)
-		}
+	if !bytes.Equal(got, last) {
+		t.Fatalf("download = %q, want the last entry %q", got, last)
 	}
 }
 
 // TestServerCloseDrainsPipelinedRequests is the deterministic-drain
-// contract: requests fully read off a pipelined connection when Close
-// fires still get dispatched and their replies flushed before the
-// connection dies — Close half-closes the read side rather than
-// snapping the socket — and no handler goroutine outlives Close (the
-// leak check registered by startServer enforces that part).
+// contract: a burst of requests a peer sent ahead, still unread in the
+// server's receive buffer when Close half-closes the connection, is
+// read, dispatched and answered in order before the connection ends —
+// Close half-closes the read side rather than snapping the socket —
+// and no handler goroutine outlives Close (the leak check enforces
+// that part). The session is held at its start until the half-close
+// has happened, so every request in the burst is in flight.
 func TestServerCloseDrainsPipelinedRequests(t *testing.T) {
 	leakCheck(t)
-	srv := NewServer(ServerConfig{MaxInflight: 32})
-	l, err := net.Listen("tcp", "127.0.0.1:0")
+	started, release := make(chan struct{}), make(chan struct{})
+	srv := NewServer(ServerConfig{Logf: func(format string, _ ...any) {
+		if strings.HasPrefix(format, "session start") {
+			close(started)
+			<-release
+		}
+	}})
+	tl, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	l := &halfCloseListener{Listener: tl, accepted: make(chan halfCloseConn, 1)}
 	go srv.Serve(l)
 
-	conn, err := net.Dial("tcp", l.Addr().String())
+	conn, err := net.Dial("tcp", tl.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	send := func(m protocol.Message) int {
-		enc := protocol.Encode(m)
-		if _, err := conn.Write(enc); err != nil {
-			t.Fatalf("write %v: %v", m.Type(), err)
-		}
-		return len(enc)
-	}
-	wrote := send(&protocol.Hello{User: "alice", Device: "drain", Version: "cloudsync/1"})
-	const burst = 16
-	for i := 0; i < burst; i++ {
-		wrote += send(&protocol.IndexUpdate{
+	burst := protocol.Encode(&protocol.Hello{User: "alice", Device: "drain", Version: "cloudsync/1"})
+	const n = 16
+	for i := 0; i < n; i++ {
+		burst = append(burst, protocol.Encode(&protocol.IndexUpdate{
 			Name: fmt.Sprintf("f%02d", i), Size: 1, FileHash: [16]byte{byte(i)},
-		})
+		})...)
+	}
+	if _, err := conn.Write(burst); err != nil {
+		t.Fatalf("write burst: %v", err)
+	}
+	sc := <-l.accepted
+	<-started // the Hello is read; the burst behind it is not
+	closed := make(chan error, 1)
+	go func() { closed <- srv.Close() }()
+	select {
+	case <-sc.readClosed:
+		close(release)
+	case <-time.After(5 * time.Second):
+		close(release)
+		t.Fatal("Close did not half-close the connection")
 	}
 
-	// Wait until the server has read the whole burst off the socket (the
-	// reader goroutine queues ahead of dispatch), so Close fires with
-	// requests genuinely in flight.
-	deadline := time.Now().Add(2 * time.Second)
-	for srv.Stats().BytesReceived < int64(wrote) {
-		if time.Now().After(deadline) {
-			t.Fatalf("server read %d of %d bytes before deadline", srv.Stats().BytesReceived, wrote)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if err := srv.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-
-	// Every queued request's reply must arrive, then EOF.
-	for i := 0; i < burst; i++ {
+	// Every request's reply must arrive, in order, then EOF.
+	for i := 0; i < n; i++ {
 		m, err := protocol.ReadMessage(conn)
 		if err != nil {
 			t.Fatalf("reply %d: %v", i, err)
 		}
-		if _, ok := m.(*protocol.IndexReply); !ok {
-			t.Fatalf("reply %d: got %v, want IndexReply", i, m.Type())
+		if r, ok := m.(*protocol.IndexReply); !ok || r.FileID != uint64(i+1) {
+			t.Fatalf("reply %d: got %#v, want IndexReply for file %d", i, m, i+1)
 		}
 	}
 	if _, err := protocol.ReadMessage(conn); err == nil {
 		t.Fatal("connection still open after drain; want EOF")
 	}
+	if err := <-closed; err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+}
+
+// halfCloseListener hands out connections that report when Server.Close
+// half-closes them.
+type halfCloseListener struct {
+	net.Listener
+	accepted chan halfCloseConn
+}
+
+func (l *halfCloseListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	hc := halfCloseConn{TCPConn: c.(*net.TCPConn), readClosed: make(chan struct{})}
+	l.accepted <- hc
+	return hc, nil
+}
+
+type halfCloseConn struct {
+	*net.TCPConn
+	readClosed chan struct{}
+}
+
+func (c halfCloseConn) CloseRead() error {
+	defer close(c.readClosed)
+	return c.TCPConn.CloseRead()
 }
 
 // TestBundleFaultRetryRetransmit cuts the connection mid-bundle and
@@ -260,10 +263,10 @@ func TestBundleFaultRetryRetransmit(t *testing.T) {
 	}
 }
 
-// TestConcurrentPipelinedClients races many batched clients against one
-// server — the coverage the race detector needs over the pipelined
-// reader/dispatcher split and the pooled buffers.
-func TestConcurrentPipelinedClients(t *testing.T) {
+// TestConcurrentBatchedClients races many clients mixing lockstep and
+// bundled uploads against one server — the coverage the race detector
+// needs over the shared server state and the pooled buffers.
+func TestConcurrentBatchedClients(t *testing.T) {
 	srv, dial := startServer(t, ServerConfig{})
 	const clients = 6
 	var wg sync.WaitGroup
@@ -274,9 +277,11 @@ func TestConcurrentPipelinedClients(t *testing.T) {
 		go func(g int, c *Client) {
 			defer wg.Done()
 			files := makeBatch(fmt.Sprintf("u%d", g), 10, 600)
-			if _, err := c.UploadPipelined(files[:5], 4); err != nil {
-				errs <- fmt.Errorf("client %d pipelined: %w", g, err)
-				return
+			for _, f := range files[:5] {
+				if _, err := c.Upload(f.Name, f.Data); err != nil {
+					errs <- fmt.Errorf("client %d upload %s: %w", g, f.Name, err)
+					return
+				}
 			}
 			if _, err := c.UploadBundle(files[5:]); err != nil {
 				errs <- fmt.Errorf("client %d bundle: %w", g, err)
@@ -296,7 +301,7 @@ func TestConcurrentPipelinedClients(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if st := srv.Stats(); st.BundledFiles != clients*5 {
-		t.Errorf("BundledFiles = %d, want %d", st.BundledFiles, clients*5)
+	if st := srv.Stats(); st.BundledFiles != clients*5 || st.Uploads != clients*10 {
+		t.Errorf("BundledFiles = %d, Uploads = %d; want %d and %d", st.BundledFiles, st.Uploads, clients*5, clients*10)
 	}
 }

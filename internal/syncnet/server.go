@@ -40,12 +40,6 @@ import (
 // transfer.
 const DataPieceSize = 64 << 10
 
-// DefaultMaxInflight is the per-connection pipelining depth when
-// ServerConfig.MaxInflight is zero: how many fully read requests a
-// connection's reader keeps queued for in-order dispatch while earlier
-// ones are still being handled.
-const DefaultMaxInflight = 32
-
 // drainWriteTimeout bounds how long a draining session may spend
 // flushing replies to a peer that has stopped reading after Close
 // half-closed its connection.
@@ -69,13 +63,6 @@ type ServerConfig struct {
 	BlockSize int
 	// CrossUserDedup shares the full-file dedup index across accounts.
 	CrossUserDedup bool
-	// MaxInflight caps how many fully read requests one connection may
-	// have queued awaiting dispatch (0 = DefaultMaxInflight, 1 ≈
-	// lockstep). Requests are always dispatched — and answered — in
-	// arrival order; the cap only bounds the read-ahead, which is also
-	// the memory bound per connection and the pipelining window a
-	// client may safely use over an unbuffered transport.
-	MaxInflight int
 	// Logf, when set, receives one line per handled request (useful in
 	// syncd; tests leave it nil).
 	Logf func(format string, args ...any)
@@ -228,9 +215,9 @@ func (s *Server) AttachCloser(c io.Closer) {
 
 // Close shuts the server down deterministically: it closes every
 // registered listener, half-closes every live connection's read side
-// so pipelined requests already queued are still dispatched and their
-// replies flushed (bounded by drainWriteTimeout against peers that
-// stopped reading), then waits for all serve loops and connection
+// so requests the peer already sent are still read, dispatched and
+// answered (bounded by drainWriteTimeout against peers that stopped
+// reading), then waits for all serve loops and connection
 // handlers to return. Transports without a read-side half-close
 // (net.Pipe) are closed outright. Safe to call more than once.
 func (s *Server) Close() error {
@@ -354,27 +341,16 @@ func (cr *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// inboundMsg is one fully read request handed from a connection's
-// reader goroutine to its dispatcher, with the wire bytes it consumed.
-// A read failure travels the same channel as a final sentinel, so the
-// dispatcher sees every successfully read request before the error.
-type inboundMsg struct {
-	msg      protocol.Message
-	consumed int64
-	at       time.Time // enqueue instant (zero unless queue wait is metered)
-	err      error
-}
-
 // HandleConn runs one client session to completion. It returns nil on
 // clean disconnect (EOF). A session that ends mid-upload — however it
 // ends — stashes the partial buffers so a reconnecting client can
 // resume them with a ResumeQuery.
 //
-// The connection is pipelined: a reader goroutine keeps it drained up
-// to MaxInflight fully read requests while this goroutine dispatches
-// them strictly in arrival order. Replies therefore come back in
-// request order, which is what lets a pipelining client pair them up
-// without request IDs.
+// Each request is read, dispatched and answered on the calling
+// goroutine before the next is read, so replies come back in request
+// order without request IDs, a connection holds at most one decoded
+// frame, and the session needs no second goroutine. A peer may still
+// send ahead: its requests wait in the transport's buffers.
 func (s *Server) HandleConn(conn net.Conn) error {
 	if err := s.register(conn); err != nil {
 		conn.Close()
@@ -392,15 +368,14 @@ func (s *Server) HandleConn(conn net.Conn) error {
 	defer sess.settle()
 
 	readBuf := wire.GetFrame(4096)
+	defer func() { wire.PutFrame(readBuf) }()
 	first, readBuf, err := protocol.ReadMessageBuf(r, readBuf)
 	if err != nil {
-		wire.PutFrame(readBuf)
 		return fmt.Errorf("syncnet: reading hello: %w", err)
 	}
 	sess.chargeRead(first, sess.wireIn)
 	hello, ok := first.(*protocol.Hello)
 	if !ok {
-		wire.PutFrame(readBuf)
 		sess.sendErr(protocol.ErrBadRequest, "expected hello")
 		return fmt.Errorf("syncnet: first message was %v", first.Type())
 	}
@@ -415,73 +390,21 @@ func (s *Server) HandleConn(conn net.Conn) error {
 	}
 	s.logf("session start user=%s device=%s", hello.User, hello.Device)
 
-	inflight := s.cfg.MaxInflight
-	if inflight <= 0 {
-		inflight = DefaultMaxInflight
-	}
-	// The reader owns the read buffer, sess.wireIn, and the channel; it
-	// hands each request's consumed byte count through the channel so
-	// the dispatcher never touches wireIn until the reader has exited.
-	queue := make(chan inboundMsg, inflight-1)
-	timedQueue := s.om.inboundWaitUS != nil
-	go func() {
-		defer close(queue)
-		defer func() { wire.PutFrame(readBuf) }()
-		for {
-			in0 := sess.wireIn
-			msg, buf, err := protocol.ReadMessageBuf(r, readBuf)
-			readBuf = buf
-			if err != nil {
-				queue <- inboundMsg{err: err}
-				return
-			}
-			in := inboundMsg{msg: msg, consumed: sess.wireIn - in0}
-			if timedQueue {
-				in.at = time.Now()
-			}
-			queue <- in
+	for {
+		in0 := sess.wireIn
+		msg, buf, err := protocol.ReadMessageBuf(r, readBuf)
+		readBuf = buf
+		if err == io.EOF { // bare only at a frame boundary: a clean disconnect
+			return nil
 		}
-	}()
-
-	var readErr, dispatchErr error
-	for in := range queue {
-		if in.err != nil {
-			readErr = in.err
-			break
+		if err != nil {
+			return fmt.Errorf("syncnet: reading message: %w", err)
 		}
-		if !in.at.IsZero() {
-			// Inbound-queue wait: fully read, not yet dispatched — the
-			// MaxInflight backpressure phase.
-			s.om.inboundWaitUS.Observe(time.Since(in.at).Microseconds())
-		}
-		sess.chargeRead(in.msg, in.consumed)
-		if err := sess.dispatch(in.msg); err != nil {
-			dispatchErr = err
-			break
+		sess.chargeRead(msg, sess.wireIn-in0)
+		if err := sess.dispatch(msg); err != nil {
+			return err
 		}
 	}
-	// Deterministic drain. Every request the reader accepted was either
-	// dispatched above — its reply flushed before the error sentinel
-	// could be reached, since the channel preserves arrival order — or
-	// is discarded here after a dispatch error. Closing the connection
-	// unblocks a reader stuck mid-read; consuming the queue until the
-	// reader closes it joins the goroutine, so wireIn is quiescent for
-	// the deferred finish/settle and no goroutine outlives the session.
-	// Discarded requests are still charged by message semantics; the
-	// settle sweep covers any partial trailing frame.
-	conn.Close()
-	for in := range queue {
-		if in.err == nil {
-			sess.chargeRead(in.msg, in.consumed)
-		}
-	}
-	if dispatchErr != nil {
-		return dispatchErr
-	}
-	if readErr == io.EOF {
-		return nil
-	}
-	return fmt.Errorf("syncnet: reading message: %w", readErr)
 }
 
 // dispatch runs one request through handle, wrapped in its span, its
@@ -620,11 +543,10 @@ func (s *Server) FileContent(user, name string) ([]byte, bool) {
 	return append([]byte(nil), f.data...), true
 }
 
-// session is the per-connection state: the in-progress uploads (a
-// pipelined client may have several index→data→commit exchanges in
-// flight), the authenticated user, the pooled encode and ledger
-// scratch, and the session's observability context (wire byte
-// counters, content-commit total, span).
+// session is the per-connection state: the in-progress uploads, the
+// authenticated user, the pooled encode and ledger scratch, and the
+// session's observability context (wire byte counters, content-commit
+// total, span).
 type session struct {
 	srv  *Server
 	conn net.Conn
@@ -917,7 +839,13 @@ func (ss *session) onCommit(m *protocol.Commit) error {
 		return err
 	}
 
-	version := ss.store(up, raw)
+	return ss.commit(up, raw, false, ta)
+}
+
+// commit stores an upload's verified content, makes it durable, and
+// acknowledges it — the tail every single-file content path shares.
+func (ss *session) commit(up *pendingUpload, raw []byte, delta bool, ta time.Time) error {
+	version := ss.store(up, raw, delta)
 	ss.applyEnd(ta)
 	// Durability before acknowledgement: the commit must survive kill -9
 	// once the client has seen the Ack.
@@ -928,9 +856,13 @@ func (ss *session) onCommit(m *protocol.Commit) error {
 	return ss.send(&protocol.Ack{FileID: up.id, Version: version, OK: true})
 }
 
-// store commits an admitted upload's verified raw content under the
-// user's name and returns the new version.
-func (ss *session) store(up *pendingUpload, raw []byte) uint64 {
+// store commits verified raw content under the user's name — live
+// again if it was deleted meanwhile — and returns the new version. It
+// is the one place file content, the dedup index, the content store
+// and their log records change. delta picks the counter the commit
+// moves: DeltaSyncs for an rsync delta, Uploads (and DedupSkips on a
+// hit) for a full or bundled upload.
+func (ss *session) store(up *pendingUpload, raw []byte, delta bool) uint64 {
 	s := ss.srv
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -952,15 +884,20 @@ func (ss *session) store(up *pendingUpload, raw []byte) uint64 {
 		s.persistContentLocked(up.hash, raw)
 	}
 	s.persistFileLocked(ss.user, f)
-	s.stats.Uploads++
-	if up.dedupHit {
-		s.stats.DedupSkips++
-		s.om.dedupSkips.Inc()
+	if delta {
+		s.stats.DeltaSyncs++
+		s.om.deltaSyncs.Inc()
+	} else {
+		s.stats.Uploads++
+		if up.dedupHit {
+			s.stats.DedupSkips++
+			s.om.dedupSkips.Inc()
+		}
+		s.om.uploads.Inc()
 	}
-	s.om.uploads.Inc()
 	s.om.bytesStored.Set(s.stats.BytesStored)
 	ss.contentBytes += int64(len(raw))
-	s.logf("stored %s/%s v%d (%d bytes, dedup=%v)", ss.user, up.name, f.version, len(raw), up.dedupHit)
+	s.logf("stored %s/%s v%d (%d bytes, dedup=%v, delta=%v)", ss.user, up.name, f.version, len(raw), up.dedupHit, delta)
 	return f.version
 }
 
@@ -984,7 +921,7 @@ func (ss *session) onBundle(m *protocol.Bundle) error {
 			s.logf("bundle entry %s/%s: %s", ss.user, en.Name, reason)
 			continue
 		}
-		version := ss.store(&up, raw)
+		version := ss.store(&up, raw, false)
 		results[i] = protocol.BundleResult{FileID: up.id, Version: version, DedupHit: up.dedupHit, OK: true}
 		committed++
 	}
@@ -1127,40 +1064,18 @@ func (ss *session) onDelta(m *protocol.DeltaMsg) error {
 		ss.sendErr(protocol.ErrNotFound, "no such file")
 		return nil
 	}
+	up := pendingUpload{id: f.id, name: m.Name}
 	basis := f.data
 	s.mu.Unlock()
 
+	// The basis is patched outside the lock, so the file may change or be
+	// deleted meanwhile; the commit then behaves like a full upload of the
+	// patched content.
 	raw, err := delta.Apply(basis, d)
 	if err != nil {
 		ss.sendErr(protocol.ErrBadRequest, "inapplicable delta")
 		return fmt.Errorf("syncnet: %w", err)
 	}
-	s.mu.Lock()
-	f.data = raw
-	f.version++
-	f.history++
-	hash := md5.Sum(raw)
-	f.hash = hash
-	s.index.Add(ss.user, hash, int64(len(raw)))
-	if _, ok := s.byHash[hash]; !ok {
-		s.byHash[hash] = raw
-		s.stats.BytesStored += int64(len(raw))
-		s.persistContentLocked(hash, raw)
-	}
-	s.persistFileLocked(ss.user, f)
-	s.stats.DeltaSyncs++
-	version := f.version
-	id := f.id
-	stored := s.stats.BytesStored
-	s.mu.Unlock()
-	s.om.deltaSyncs.Inc()
-	s.om.bytesStored.Set(stored)
-	ss.contentBytes += int64(len(raw))
-	ss.applyEnd(ta)
-	if err := s.persistSync(); err != nil {
-		ss.sendErr(protocol.ErrInternal, "server crashed")
-		return err
-	}
-	ss.srv.logf("delta-synced %s/%s v%d (%d literal bytes)", ss.user, m.Name, version, d.LiteralBytes())
-	return ss.send(&protocol.Ack{FileID: id, Version: version, OK: true})
+	up.size, up.hash = int64(len(raw)), md5.Sum(raw)
+	return ss.commit(&up, raw, true, ta)
 }

@@ -2,6 +2,7 @@ package syncnet
 
 import (
 	"bytes"
+	"crypto/md5"
 	"fmt"
 	"net"
 	"runtime"
@@ -13,6 +14,7 @@ import (
 
 	"cloudsync/internal/comp"
 	"cloudsync/internal/content"
+	"cloudsync/internal/delta"
 	"cloudsync/internal/protocol"
 )
 
@@ -258,6 +260,58 @@ func TestDeltaSyncAppend(t *testing.T) {
 	got, _ := c.Download("log")
 	if !bytes.Equal(got, grown) {
 		t.Fatal("append content mismatch")
+	}
+}
+
+// TestDeltaCommitAfterConcurrentDelete: onDelta patches its basis
+// outside the server lock, so a delete can land between taking the
+// basis and committing. The commit then behaves like a full upload
+// after a delete — the file is live again and holds the acknowledged
+// content, in memory and in the recovered durable state.
+func TestDeltaCommitAfterConcurrentDelete(t *testing.T) {
+	dir := t.TempDir()
+	srv, dial := startServer(t, ServerConfig{StateDir: dir})
+	c, _ := dial("alice")
+	base := content.Random(40_000, 6).Bytes()
+	if _, err := c.Upload("doc", base); err != nil {
+		t.Fatal(err)
+	}
+
+	// Take the basis as onDelta does, then let a delete land.
+	basis, _ := srv.FileContent("alice", "doc")
+	id := srv.Snapshot("alice")["doc"].ID
+	if err := c.Delete("doc"); err != nil {
+		t.Fatal(err)
+	}
+	edited := append(bytes.Clone(base[:30_000]), "edited tail"...)
+	raw, err := delta.Apply(basis, delta.Compute(delta.Sign(basis, delta.DefaultBlockSize), edited))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss := &session{srv: srv, user: "alice"}
+	version := ss.store(&pendingUpload{id: id, name: "doc", size: int64(len(raw)), hash: md5.Sum(raw)}, raw, true)
+	if err := srv.persistSync(); err != nil {
+		t.Fatal(err)
+	}
+
+	if version != 3 {
+		t.Errorf("delta committed as v%d, want v3 (upload, delete, delta)", version)
+	}
+	got, err := c.Download("doc")
+	if err != nil || !bytes.Equal(got, edited) {
+		t.Fatalf("download after delta commit: %v (content match %v)", err, bytes.Equal(got, edited))
+	}
+	if st := srv.Stats(); st.DeltaSyncs != 1 || st.Uploads != 1 {
+		t.Errorf("DeltaSyncs = %d, Uploads = %d; want 1 and 1", st.DeltaSyncs, st.Uploads)
+	}
+	srv.Close()
+	reopened, err := OpenServer(ServerConfig{StateDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	if got, ok := reopened.FileContent("alice", "doc"); !ok || !bytes.Equal(got, edited) {
+		t.Fatalf("recovered state: live=%v, content match %v", ok, bytes.Equal(got, edited))
 	}
 }
 

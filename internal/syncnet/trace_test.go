@@ -309,7 +309,7 @@ func TestWalMetricsRegisteredOnlyWithStateDir(t *testing.T) {
 
 // TestPhaseHistogramsPopulated: one traced upload must move every phase
 // instrument that does not need a durable state — client reply wait,
-// server inbound-queue wait, request duration, and apply time.
+// request duration, and apply time.
 func TestPhaseHistogramsPopulated(t *testing.T) {
 	reg := obs.NewRegistry()
 	c, _, finish := tracedPair(t, ServerConfig{Metrics: reg}, WithClientMetrics(reg))
@@ -319,7 +319,6 @@ func TestPhaseHistogramsPopulated(t *testing.T) {
 	finish()
 	for _, name := range []string{
 		"syncnet_client_reply_wait_us",
-		"syncd_inbound_queue_wait_us",
 		"syncd_request_duration_us",
 		"syncd_apply_us",
 	} {
