@@ -29,9 +29,9 @@ import (
 	"cloudsync/internal/client"
 	"cloudsync/internal/content"
 	"cloudsync/internal/core"
-	"cloudsync/internal/deferpolicy"
 	"cloudsync/internal/hardware"
 	"cloudsync/internal/netem"
+	"cloudsync/internal/planner"
 	"cloudsync/internal/service"
 )
 
@@ -108,7 +108,9 @@ func WithUser(user string) Option {
 // WithAdaptiveSyncDefer replaces the service's deferment policy with
 // the paper's proposed ASD mechanism (Eq. 2).
 func WithAdaptiveSyncDefer(epsilon, tmax time.Duration) Option {
-	return func(o *service.Options) { o.Defer = deferpolicy.NewASD(epsilon, tmax) }
+	return func(o *service.Options) {
+		o.Defer = &planner.DeferConfig{Mode: planner.DeferASD, Epsilon: epsilon, TMax: tmax}
+	}
 }
 
 // SharedCloud attaches this simulation to another simulation's cloud,

@@ -72,40 +72,7 @@ type options struct {
 }
 
 func main() {
-	var o options
-	flag.StringVar(&o.dir, "dir", ".", "directory to watch and sync")
-	flag.StringVar(&o.addr, "addr", "127.0.0.1:7777", "syncd address")
-	flag.StringVar(&o.user, "user", "alice", "account name")
-	flag.StringVar(&o.device, "device", "syncwatch", "device name")
-	flag.DurationVar(&o.interval, "interval", time.Second, "poll interval")
-	flag.DurationVar(&o.debounce, "debounce", 500*time.Millisecond, "change buffer quiet window")
-	flag.StringVar(&o.stateDir, "state-dir", "",
-		"durable client state directory (default DIR/.syncwatch)")
-	flag.StringVar(&o.baseline, "baseline", "", "baseline path (default STATE-DIR/baseline.json)")
-	flag.IntVar(&o.workers, "workers", 2, "parallel transfer workers")
-	flag.BoolVar(&o.compress, "compress", true, "compress uploads (must match syncd)")
-	flag.BoolVar(&o.once, "once", false, "sync until converged, then exit")
-	flag.StringVar(&o.deferMode, "defer", "none", "sync deferment policy: none, fixed, asd, uds")
-	flag.DurationVar(&o.fixedT, "defer-fixed", 5*time.Second, "deferment for -defer fixed")
-	flag.DurationVar(&o.epsilon, "epsilon", 100*time.Millisecond, "ASD epsilon (Eq. 2)")
-	flag.DurationVar(&o.tmax, "tmax", 10*time.Second, "ASD maximum deferment (Eq. 2)")
-	flag.Int64Var(&o.threshold, "uds-threshold", 1<<20, "UDS size threshold (bytes)")
-	flag.DurationVar(&o.maxDelay, "uds-delay", 4*time.Second, "UDS maximum linger")
-	flag.BoolVar(&o.dryRun, "dry-run", false, "print the plan against the baseline and exit")
-	flag.StringVar(&o.replay, "replay", "", "replay a canned workload (freqmod) and exit")
-	flag.BoolVar(&o.explain, "explain", false, "with -replay: print per-cause ledgers and TUE deltas")
-	flag.IntVar(&o.files, "files", 2, "with -replay: files in the workload")
-	flag.IntVar(&o.edits, "edits", 8, "with -replay: edits per file")
-	flag.DurationVar(&o.editGap, "edit-interval", 500*time.Millisecond, "with -replay: virtual time between edits")
-	flag.Parse()
-
-	if o.stateDir == "" {
-		o.stateDir = filepath.Join(o.dir, ".syncwatch")
-	}
-	if o.baseline == "" {
-		o.baseline = filepath.Join(o.stateDir, "baseline.json")
-	}
-
+	o, _ := parseFlags(flag.CommandLine, os.Args[1:]) // exits on a bad flag
 	var err error
 	switch {
 	case o.dryRun:
@@ -121,7 +88,45 @@ func main() {
 	}
 }
 
-// deferConfig translates the policy flags.
+// parseFlags defines the command's flags on fs, parses args and fills
+// in the state paths' defaults.
+func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
+	var o options
+	fs.StringVar(&o.dir, "dir", ".", "directory to watch and sync")
+	fs.StringVar(&o.addr, "addr", "127.0.0.1:7777", "syncd address")
+	fs.StringVar(&o.user, "user", "alice", "account name")
+	fs.StringVar(&o.device, "device", "syncwatch", "device name")
+	fs.DurationVar(&o.interval, "interval", time.Second, "poll interval")
+	fs.DurationVar(&o.debounce, "debounce", 500*time.Millisecond, "change buffer quiet window")
+	fs.StringVar(&o.stateDir, "state-dir", "",
+		"durable client state directory (default DIR/.syncwatch)")
+	fs.StringVar(&o.baseline, "baseline", "", "baseline path (default STATE-DIR/baseline.json)")
+	fs.IntVar(&o.workers, "workers", 2, "parallel transfer workers")
+	fs.BoolVar(&o.compress, "compress", true, "compress uploads (must match syncd)")
+	fs.BoolVar(&o.once, "once", false, "sync until converged, then exit")
+	fs.StringVar(&o.deferMode, "defer", "none", "sync deferment policy: none, fixed, asd, uds")
+	fs.DurationVar(&o.fixedT, "defer-fixed", 5*time.Second, "deferment for -defer fixed")
+	fs.DurationVar(&o.epsilon, "epsilon", 100*time.Millisecond, "ASD epsilon (Eq. 2)")
+	fs.DurationVar(&o.tmax, "tmax", 10*time.Second, "ASD maximum deferment (Eq. 2)")
+	fs.Int64Var(&o.threshold, "uds-threshold", 1<<20, "UDS size threshold (bytes)")
+	fs.DurationVar(&o.maxDelay, "uds-delay", 4*time.Second, "UDS maximum linger")
+	fs.BoolVar(&o.dryRun, "dry-run", false, "print the plan against the baseline and exit")
+	fs.StringVar(&o.replay, "replay", "", "replay a canned workload (freqmod) and exit")
+	fs.BoolVar(&o.explain, "explain", false, "with -replay: print per-cause ledgers and TUE deltas")
+	fs.IntVar(&o.files, "files", 2, "with -replay: files in the workload")
+	fs.IntVar(&o.edits, "edits", 8, "with -replay: edits per file")
+	fs.DurationVar(&o.editGap, "edit-interval", 500*time.Millisecond, "with -replay: virtual time between edits")
+	err := fs.Parse(args)
+	if o.stateDir == "" {
+		o.stateDir = filepath.Join(o.dir, ".syncwatch")
+	}
+	if o.baseline == "" {
+		o.baseline = filepath.Join(o.stateDir, "baseline.json")
+	}
+	return o, err
+}
+
+// deferConfig translates and validates the policy flags.
 func deferConfig(o options) (planner.DeferConfig, error) {
 	cfg := planner.DeferConfig{
 		FixedT:    o.fixedT,
@@ -142,7 +147,7 @@ func deferConfig(o options) (planner.DeferConfig, error) {
 	default:
 		return cfg, fmt.Errorf("unknown -defer mode %q", o.deferMode)
 	}
-	return cfg, nil
+	return cfg, cfg.Validate()
 }
 
 // ignored filters hidden files, editor droppings, and the syncwatch
@@ -216,7 +221,10 @@ func runReplay(o options, out io.Writer) error {
 		return err
 	}
 	if policy.Mode == planner.DeferNone {
-		policy = planner.DeferConfig{Mode: planner.DeferASD, Epsilon: o.epsilon, TMax: o.tmax}
+		o.deferMode = "asd"
+		if policy, err = deferConfig(o); err != nil {
+			return err
+		}
 		fmt.Fprintf(out, "(-defer none would compare no-defer against itself; using asd)\n\n")
 	}
 	base := watchsync.ReplayConfig{

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"net"
 	"os"
 	"path/filepath"
@@ -73,6 +74,40 @@ func TestReplayCommand(t *testing.T) {
 	}
 }
 
+// TestDeferFlagsValidated: out-of-range deferment flags are rejected
+// before the daemon dials, and the defaults of every mode are accepted.
+func TestDeferFlagsValidated(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		ok   bool
+	}{
+		{nil, true},
+		{[]string{"-defer", "fixed"}, true},
+		{[]string{"-defer", "asd"}, true},
+		{[]string{"-defer", "uds"}, true},
+		{[]string{"-defer", "asd", "-tmax", "0"}, false},
+		{[]string{"-defer", "asd", "-epsilon", "0"}, false},
+		{[]string{"-defer", "asd", "-epsilon", "2s"}, false},
+		{[]string{"-defer", "uds", "-uds-threshold", "0"}, false},
+		{[]string{"-defer", "fixed", "-defer-fixed", "-1s"}, false},
+	} {
+		o, err := parseFlags(flag.NewFlagSet("syncwatch", flag.ContinueOnError), c.args)
+		if err != nil {
+			t.Fatalf("%v: %v", c.args, err)
+		}
+		if _, err := deferConfig(o); (err == nil) != c.ok {
+			t.Errorf("%v: deferConfig error = %v, want ok=%v", c.args, err, c.ok)
+		}
+		if !c.ok {
+			o.addr = "" // would fail to dial: the defer error must come first
+			o.dir, o.baseline = t.TempDir(), filepath.Join(t.TempDir(), "baseline.json")
+			if err := runDaemon(o, nil); err == nil || !strings.Contains(err.Error(), "defer:") {
+				t.Errorf("%v: runDaemon = %v, want the defer validation error", c.args, err)
+			}
+		}
+	}
+}
+
 // syncGoroutines returns stacks of goroutines currently inside sync
 // code — the daemon loop, executor workers, server handlers.
 func syncGoroutines() []string {
@@ -127,15 +162,15 @@ func TestDaemonSmoke(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		done <- runDaemon(options{
-			dir:      dir,
-			addr:     l.Addr().String(),
-			user:     "smoke",
-			device:   "smoketest",
-			interval: 20 * time.Millisecond,
-			debounce: 10 * time.Millisecond,
-			baseline: filepath.Join(dir, ".syncwatch", "baseline.json"),
-			workers:  2,
-			compress: true,
+			dir:       dir,
+			addr:      l.Addr().String(),
+			user:      "smoke",
+			device:    "smoketest",
+			interval:  20 * time.Millisecond,
+			debounce:  10 * time.Millisecond,
+			baseline:  filepath.Join(dir, ".syncwatch", "baseline.json"),
+			workers:   2,
+			compress:  true,
 			deferMode: "none",
 		}, stop)
 	}()

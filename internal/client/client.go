@@ -24,11 +24,11 @@ import (
 	"cloudsync/internal/cloud"
 	"cloudsync/internal/comp"
 	"cloudsync/internal/content"
-	"cloudsync/internal/deferpolicy"
 	"cloudsync/internal/hardware"
 	"cloudsync/internal/netem"
 	"cloudsync/internal/obs"
 	"cloudsync/internal/obs/ledger"
+	"cloudsync/internal/planner"
 	"cloudsync/internal/protocol"
 	"cloudsync/internal/simclock"
 	"cloudsync/internal/vfs"
@@ -91,8 +91,9 @@ type Config struct {
 	BDS        bool
 	BundleSize int
 
-	// Defer is the sync-deferment policy.
-	Defer deferpolicy.Policy
+	// Defer is the sync-deferment policy (zero value: sync at once).
+	// UDS judges the client's pending update bytes.
+	Defer planner.DeferConfig
 
 	// Hardware drives Condition 2's metadata-computation time.
 	Hardware hardware.Profile
@@ -136,8 +137,8 @@ func (c Config) validate() {
 	if !c.FullFileSync && c.ChunkSize <= 0 {
 		panic("client: chunked sync requires ChunkSize")
 	}
-	if c.Defer == nil {
-		panic("client: Config.Defer must be set")
+	if err := c.Defer.Validate(); err != nil {
+		panic("client: " + err.Error())
 	}
 	if c.PayloadExpansion < 1 {
 		panic(fmt.Sprintf("client: PayloadExpansion %v < 1", c.PayloadExpansion))
@@ -185,6 +186,7 @@ type Client struct {
 	pending        map[string]*pendingEntry
 	inSession      map[string]bool
 	deferTimer     *simclock.Timer
+	deferState     planner.ASDState
 	inFlight       bool
 	wantSync       bool
 	applyingRemote bool
@@ -263,7 +265,8 @@ func (c *Client) onEvent(ev vfs.Event) {
 		}
 		p.deleted = true
 	}
-	delay := c.cfg.Defer.Delay(c.clock.Now(), c.pendingBytes())
+	var delay time.Duration
+	delay, c.deferState = c.cfg.Defer.Step(c.deferState, c.clock.Now(), c.pendingBytes())
 	if c.deferTimer != nil {
 		c.deferTimer.Stop()
 	}
@@ -709,7 +712,6 @@ func (c *Client) onAllSessionsDone() {
 	c.round = nil
 	c.inFlight = false
 	clear(c.inSession)
-	c.cfg.Defer.Reset()
 	if c.wantSync {
 		c.wantSync = false
 		c.trySync()

@@ -10,8 +10,8 @@ import (
 	"cloudsync/internal/comp"
 	"cloudsync/internal/content"
 	"cloudsync/internal/dedup"
-	"cloudsync/internal/deferpolicy"
 	"cloudsync/internal/netem"
+	"cloudsync/internal/planner"
 )
 
 // TestPropertyCloudMirrorsFolder is a model-based test: apply a random
@@ -35,13 +35,13 @@ func TestPropertyCloudMirrorsFolder(t *testing.T) {
 		cfg.BDS = rng.Intn(2) == 0
 		switch rng.Intn(4) {
 		case 0:
-			cfg.Defer = deferpolicy.None{}
+			cfg.Defer = planner.DeferConfig{Mode: planner.DeferNone}
 		case 1:
-			cfg.Defer = deferpolicy.Fixed{T: time.Duration(1+rng.Intn(8)) * time.Second}
+			cfg.Defer = planner.DeferConfig{Mode: planner.DeferFixed, FixedT: time.Duration(1+rng.Intn(8)) * time.Second}
 		case 2:
-			cfg.Defer = deferpolicy.NewASD(500*time.Millisecond, 30*time.Second)
+			cfg.Defer = planner.DeferConfig{Mode: planner.DeferASD, Epsilon: 500 * time.Millisecond, TMax: 30 * time.Second}
 		case 3:
-			cfg.Defer = deferpolicy.UDS{Threshold: 64 << 10, MaxDelay: 20 * time.Second}
+			cfg.Defer = planner.DeferConfig{Mode: planner.DeferUDS, Threshold: 64 << 10, MaxDelay: 20 * time.Second}
 		}
 		cfg.SharedSession = rng.Intn(2) == 0
 		cfg.UploadCompression = comp.Level(rng.Intn(3))
@@ -95,7 +95,7 @@ func TestPropertyCloudMirrorsFolder(t *testing.T) {
 		// Convergence: every folder file is live in the cloud with
 		// identical content; nothing extra is live in the cloud.
 		desc := fmt.Sprintf("iter %d (fullfile=%v dedup=%v bds=%v defer=%s shared=%v)",
-			iter, cfg.FullFileSync, cfg.UseDedup, cfg.BDS, cfg.Defer.Name(), cfg.SharedSession)
+			iter, cfg.FullFileSync, cfg.UseDedup, cfg.BDS, cfg.Defer.Mode, cfg.SharedSession)
 		if r.client.PendingCount() != 0 || r.client.InFlight() {
 			t.Fatalf("%s: client did not quiesce (pending=%d inflight=%v)",
 				desc, r.client.PendingCount(), r.client.InFlight())

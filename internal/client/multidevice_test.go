@@ -115,8 +115,6 @@ func TestRemoteWinsOverLocalPending(t *testing.T) {
 	a.clock.Run()
 	// Both devices edit; A's commit lands and B's mirror supersedes its
 	// queued local edit (remote-wins).
-	b.client.cfg.Defer = nil // not used; keep vet quiet about unused writes
-	_ = b
 	a.fs.Append("doc", 1000)
 	a.clock.Run()
 	f, _ := b.fs.File("doc")

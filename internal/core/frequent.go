@@ -4,10 +4,10 @@ import (
 	"time"
 
 	"cloudsync/internal/client"
-	"cloudsync/internal/deferpolicy"
 	"cloudsync/internal/hardware"
 	"cloudsync/internal/netem"
 	"cloudsync/internal/parallel"
+	"cloudsync/internal/planner"
 	"cloudsync/internal/service"
 )
 
@@ -129,30 +129,26 @@ type PolicyCell struct {
 func ASDEvaluation(n service.Name, xs []float64) []PolicyCell {
 	policies := []struct {
 		label string
-		mk    func() deferpolicy.Policy
+		cfg   *planner.DeferConfig
 	}{
-		{"native", func() deferpolicy.Policy { return nil }}, // service default
-		{"asd", func() deferpolicy.Policy {
-			return deferpolicy.NewASD(500*time.Millisecond, 45*time.Second)
-		}},
-		{"uds", func() deferpolicy.Policy {
-			return deferpolicy.UDS{Threshold: 256 << 10, MaxDelay: 5 * time.Minute}
-		}},
+		{"native", nil}, // service default
+		{"asd", &planner.DeferConfig{Mode: planner.DeferASD, Epsilon: 500 * time.Millisecond, TMax: 45 * time.Second}},
+		{"uds", &planner.DeferConfig{Mode: planner.DeferUDS, Threshold: 256 << 10, MaxDelay: 5 * time.Minute}},
 	}
 	type task struct {
 		label string
-		mk    func() deferpolicy.Policy
+		cfg   *planner.DeferConfig
 		x     float64
 		seed  int64
 	}
 	var tasks []task
 	for _, p := range policies {
 		for _, x := range xs {
-			tasks = append(tasks, task{label: p.label, mk: p.mk, x: x, seed: nextSeed()})
+			tasks = append(tasks, task{label: p.label, cfg: p.cfg, x: x, seed: nextSeed()})
 		}
 	}
 	return parallel.Map(tasks, func(_ int, t task) PolicyCell {
-		tue := appendTUE(n, service.Options{Defer: t.mk()}, t.x, t.seed)
+		tue := appendTUE(n, service.Options{Defer: t.cfg}, t.x, t.seed)
 		return PolicyCell{Service: n, Policy: t.label, X: t.x, TUE: tue}
 	})
 }

@@ -8,10 +8,10 @@ import (
 	"cloudsync/internal/chunker"
 	"cloudsync/internal/client"
 	"cloudsync/internal/content"
-	"cloudsync/internal/deferpolicy"
 	"cloudsync/internal/invariant"
 	"cloudsync/internal/netem"
 	"cloudsync/internal/obs/ledger"
+	"cloudsync/internal/planner"
 	"cloudsync/internal/service"
 )
 
@@ -48,7 +48,7 @@ func faultyLinkForSeed(seed uint64) netem.Link {
 func runSim(seed uint64, ops []invariant.Op) ([]invariant.Violation, int64) {
 	s := service.NewSetup(service.GoogleDrive, client.PC, service.Options{
 		Link:  faultyLinkForSeed(seed),
-		Defer: deferpolicy.None{},
+		Defer: &planner.DeferConfig{Mode: planner.DeferNone},
 	})
 	led := &ledger.Ledger{}
 	s.Capture.SetLedger(led)

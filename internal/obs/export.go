@@ -9,16 +9,6 @@ import (
 	"time"
 )
 
-// jsonSpan is the JSONL export schema: one of these per line.
-type jsonSpan struct {
-	ID     uint64            `json:"id"`
-	Parent uint64            `json:"parent,omitempty"`
-	Name   string            `json:"name"`
-	StartU float64           `json:"start_us"`
-	DurU   float64           `json:"dur_us"`
-	Attrs  map[string]string `json:"attrs,omitempty"`
-}
-
 func (d SpanData) attrMap() map[string]string {
 	if len(d.Attrs) == 0 {
 		return nil
@@ -31,23 +21,6 @@ func (d SpanData) attrMap() map[string]string {
 }
 
 func us(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
-
-// WriteJSONL writes every recorded span as one JSON object per line
-// (id, parent, name, start_us, dur_us, attrs). A nil tracer writes
-// nothing.
-func (t *Tracer) WriteJSONL(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	for _, d := range t.Spans() {
-		if err := enc.Encode(jsonSpan{
-			ID: d.ID, Parent: d.Parent, Name: d.Name,
-			StartU: us(d.Start), DurU: us(d.Duration()),
-			Attrs: d.attrMap(),
-		}); err != nil {
-			return fmt.Errorf("obs: writing JSONL: %w", err)
-		}
-	}
-	return nil
-}
 
 // chromeEvent is one trace_event record in the Chrome/Perfetto JSON
 // format: a "complete" (ph "X") event with microsecond timestamps.

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"strings"
@@ -40,10 +39,6 @@ func TestNilTracerIsInert(t *testing.T) {
 	}
 	if tr.Now() != 0 {
 		t.Fatalf("nil tracer Now = %v, want 0", tr.Now())
-	}
-	var buf bytes.Buffer
-	if err := tr.WriteJSONL(&buf); err != nil || buf.Len() != 0 {
-		t.Fatalf("nil tracer WriteJSONL wrote %q (err %v)", buf.String(), err)
 	}
 }
 
@@ -115,32 +110,6 @@ func TestRecordExplicitTimes(t *testing.T) {
 	d := tr.Spans()[0]
 	if d.Start != 3*time.Second || d.Duration() != 2*time.Second {
 		t.Fatalf("recorded span %+v", d)
-	}
-}
-
-func TestWriteJSONL(t *testing.T) {
-	clk := &simNow{}
-	tr := NewSimTracer(clk.now)
-	root := tr.Start("a")
-	clk.t = time.Millisecond
-	root.Child("b").End()
-	root.End()
-
-	var buf bytes.Buffer
-	if err := tr.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	sc := bufio.NewScanner(&buf)
-	var lines int
-	for sc.Scan() {
-		var js jsonSpan
-		if err := json.Unmarshal(sc.Bytes(), &js); err != nil {
-			t.Fatalf("line %d not JSON: %v", lines, err)
-		}
-		lines++
-	}
-	if lines != 2 {
-		t.Fatalf("got %d JSONL lines, want 2", lines)
 	}
 }
 

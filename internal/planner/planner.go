@@ -5,14 +5,15 @@
 //
 // Purity is the point. The planner never touches the filesystem, the
 // network, or a wall clock — every timestamp it reasons about arrives
-// as an input, and the adaptive sync defer (ASD) estimator is advanced
-// with deferpolicy's pure step function, its state threaded through
-// Input/Plan by value. Equal inputs therefore produce equal plans,
-// which turns every sync scenario — create/modify/delete races,
-// defer-window boundaries, local–remote divergence, crash-restart
-// reconciliation — into a table-driven test over plain structs
-// (planner_table_test.go) and lets a property harness replay thousands
-// of interleavings with exact expectations. An enforcement test
+// as an input, and the sync-deferment policy (including the adaptive
+// sync defer, ASD) is the pure DeferConfig.Step, its state threaded
+// through Input/Plan by value. The simulator's client runs the same
+// Step. Equal inputs therefore produce equal plans, which turns every
+// sync scenario — create/modify/delete races, defer-window boundaries,
+// local–remote divergence, crash-restart reconciliation — into a
+// table-driven test over plain structs (planner_table_test.go) and lets
+// a property harness replay thousands of interleavings with exact
+// expectations. An enforcement test
 // (purity_test.go) rejects any import or time.Now-style call that
 // would break the contract.
 //
@@ -27,8 +28,6 @@ import (
 	"fmt"
 	"sort"
 	"time"
-
-	"cloudsync/internal/deferpolicy"
 )
 
 // FileMeta is one file's confirmed synced state in the baseline: what
@@ -66,58 +65,11 @@ type Change struct {
 	Writes []time.Duration
 }
 
-// DeferMode selects the deferment policy the planner applies to write
-// changes (§6.1 of the paper). Removes always sync immediately: a
-// deferred deletion saves no payload bytes and risks resurrecting the
-// file on a crash.
-type DeferMode uint8
-
-const (
-	// DeferNone syncs as soon as possible.
-	DeferNone DeferMode = iota
-	// DeferFixed re-arms a fixed deferment T on every write.
-	DeferFixed
-	// DeferASD runs the paper's adaptive sync defer, Eq. (2).
-	DeferASD
-	// DeferUDS defers until pending bytes reach a threshold, with a
-	// maximum linger re-armed on every write.
-	DeferUDS
-)
-
-// String names the mode.
-func (m DeferMode) String() string {
-	switch m {
-	case DeferNone:
-		return "none"
-	case DeferFixed:
-		return "fixed"
-	case DeferASD:
-		return "asd"
-	case DeferUDS:
-		return "uds"
-	default:
-		return fmt.Sprintf("mode(%d)", uint8(m))
-	}
-}
-
-// DeferConfig is the planner's deferment policy knob.
-type DeferConfig struct {
-	Mode DeferMode
-	// FixedT is the deferment for DeferFixed.
-	FixedT time.Duration
-	// Epsilon and TMax parameterize DeferASD (Eq. 2).
-	Epsilon time.Duration
-	TMax    time.Duration
-	// Threshold and MaxDelay parameterize DeferUDS.
-	Threshold int64
-	MaxDelay  time.Duration
-}
-
 // DeferState is one path's deferment state, threaded by value through
 // planning rounds: the pure-state ASD estimator plus the armed defer
 // deadline for the currently pending change.
 type DeferState struct {
-	ASD deferpolicy.ASDState
+	ASD ASDState
 	// Deadline is the virtual time the pending change becomes ready to
 	// sync; meaningful only while Armed.
 	Deadline time.Duration
@@ -234,27 +186,13 @@ func kindOrder(k ActionKind) int {
 }
 
 // advanceDefer folds one pending change's new writes into its
-// deferment state under cfg and returns the successor state.
+// deferment state under cfg and returns the successor state. UDS
+// judges the changed file's size.
 func advanceDefer(st DeferState, ch *Change, cfg DeferConfig) DeferState {
 	for _, w := range ch.Writes {
-		switch cfg.Mode {
-		case DeferNone:
-			st.Armed = false
-		case DeferFixed:
-			st.Deadline, st.Armed = w+cfg.FixedT, true
-		case DeferASD:
-			var delay time.Duration
-			delay, st.ASD = deferpolicy.ASDStep(st.ASD, w, cfg.Epsilon, cfg.TMax)
-			st.Deadline, st.Armed = w+delay, true
-		case DeferUDS:
-			if ch.Size >= cfg.Threshold {
-				st.Deadline, st.Armed = w, true // ready immediately
-			} else {
-				st.Deadline, st.Armed = w+cfg.MaxDelay, true
-			}
-		default:
-			panic(fmt.Sprintf("planner: unknown defer mode %v", cfg.Mode))
-		}
+		var delay time.Duration
+		delay, st.ASD = cfg.Step(st.ASD, w, ch.Size)
+		st.Deadline, st.Armed = w+delay, cfg.Mode != DeferNone
 	}
 	return st
 }

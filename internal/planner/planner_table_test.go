@@ -7,8 +7,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"cloudsync/internal/deferpolicy"
 )
 
 // Content fingerprints the table cases share. Distinct letters are
@@ -379,8 +377,27 @@ func tableCases() []tableCase {
 				Changes: []Change{withWrites(wB,
 					s, s+200*ms, s+400*ms, s+600*ms, s+800*ms, 2*s)},
 				RemoteKnown: true, Defer: asd},
-			want: []string{"defer a.txt [defer window open] until=2.390625s"},
+			want:   []string{"defer a.txt [defer window open] until=2.390625s"},
 			noIdem: true, wantWake: 2*s + 390625*time.Microsecond,
+		},
+		{
+			name: "defer-asd/backwards-mtime-never-shrinks-estimate",
+			// A write stamped before the last one seen (touch -d, cp -p)
+			// counts as Δt = 0: T = 700ms/2 + 0 + 100ms = 450ms, deadline
+			// 1.45s, and LastUpdate stays at 2s.
+			in: Input{Now: 1200 * ms, Changes: []Change{withWrites(wA, s)},
+				RemoteKnown: true, Defer: asd,
+				DeferState: map[string]DeferState{
+					"a.txt": {ASD: ASDState{T: 700 * ms, LastUpdate: 2 * s, Seen: true}},
+				}},
+			want:     []string{"defer a.txt [defer window open] until=1.45s"},
+			wantWake: 1450 * ms, noIdem: true,
+			extra: func(t *testing.T, out Output) {
+				st := out.DeferState["a.txt"]
+				if st.ASD.T != 450*ms || st.ASD.LastUpdate != 2*s {
+					t.Errorf("ASD state after a backwards write: %+v, want T=450ms LastUpdate=2s", st.ASD)
+				}
+			},
 		},
 		// --- UDS ---
 		{
@@ -499,7 +516,7 @@ func tableCases() []tableCase {
 			name: "state/asd-memory-survives-quiet-rounds",
 			in: Input{Now: 10 * s, Defer: asd, RemoteKnown: true,
 				DeferState: map[string]DeferState{
-					"idle.txt": {ASD: deferpolicy.ASDState{T: 700 * ms, LastUpdate: 2 * s, Seen: true}},
+					"idle.txt": {ASD: ASDState{T: 700 * ms, LastUpdate: 2 * s, Seen: true}},
 				}},
 			want: nil,
 			extra: func(t *testing.T, out Output) {
@@ -514,7 +531,7 @@ func tableCases() []tableCase {
 			in: Input{Now: s, Baseline: base1, Changes: []Change{rm},
 				Remote: remoteLiveA, RemoteKnown: true, Defer: asd,
 				DeferState: map[string]DeferState{
-					"a.txt": {ASD: deferpolicy.ASDState{T: 700 * ms, LastUpdate: 500 * ms, Seen: true}},
+					"a.txt": {ASD: ASDState{T: 700 * ms, LastUpdate: 500 * ms, Seen: true}},
 				}},
 			want: []string{"delete a.txt [removed locally]"},
 			extra: func(t *testing.T, out Output) {

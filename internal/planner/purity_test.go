@@ -16,11 +16,10 @@ import (
 // means consciously extending this list — and defending the purity
 // argument in review.
 var allowedImports = map[string]bool{
-	"fmt":                            true,
-	"sort":                           true,
-	"strings":                        true,
-	"time":                           true, // Duration arithmetic only; time.Now et al. banned below
-	"cloudsync/internal/deferpolicy": true,
+	"fmt":     true,
+	"sort":    true,
+	"strings": true,
+	"time":    true, // Duration arithmetic only; time.Now et al. banned below
 }
 
 // bannedTimeFuncs are the clock-reading (or goroutine-spawning)

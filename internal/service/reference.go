@@ -7,9 +7,9 @@ import (
 	"cloudsync/internal/cloud"
 	"cloudsync/internal/comp"
 	"cloudsync/internal/dedup"
-	"cloudsync/internal/deferpolicy"
 	"cloudsync/internal/delta"
 	"cloudsync/internal/hardware"
+	"cloudsync/internal/planner"
 )
 
 // Reference is the pseudo-service implementing every recommendation
@@ -47,7 +47,7 @@ func ReferenceClientConfig() client.Config {
 		DownloadCompression: comp.High,
 		UseDedup:            true,
 		BDS:                 true,
-		Defer:               deferpolicy.NewASD(500*time.Millisecond, 45*time.Second),
+		Defer:               planner.DeferConfig{Mode: planner.DeferASD, Epsilon: 500 * time.Millisecond, TMax: 45 * time.Second},
 		Hardware:            hardware.M1(),
 		SharedSession:       true,
 		ExtraRTTs:           1,

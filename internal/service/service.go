@@ -22,10 +22,10 @@ import (
 	"cloudsync/internal/cloud"
 	"cloudsync/internal/comp"
 	"cloudsync/internal/dedup"
-	"cloudsync/internal/deferpolicy"
 	"cloudsync/internal/hardware"
 	"cloudsync/internal/netem"
 	"cloudsync/internal/obs"
+	"cloudsync/internal/planner"
 	"cloudsync/internal/simclock"
 	"cloudsync/internal/vfs"
 	"cloudsync/internal/wire"
@@ -210,8 +210,7 @@ func expansion(n Name) float64 {
 }
 
 // ClientConfig returns the client-side design choices for a service and
-// access method. The defer policy is freshly constructed per call, so
-// configs are independent.
+// access method.
 func ClientConfig(n Name, access client.AccessMethod) client.Config {
 	cal := chatter(n, access)
 	cfg := client.Config{
@@ -221,7 +220,6 @@ func ClientConfig(n Name, access client.AccessMethod) client.Config {
 		FullFileSync:        true,
 		UploadCompression:   comp.None,
 		DownloadCompression: comp.None,
-		Defer:               deferpolicy.None{},
 		Hardware:            hardware.M1(),
 		MetaPerSyncUp:       cal.sessUp,
 		MetaPerSyncDown:     cal.sessDown,
@@ -233,7 +231,7 @@ func ClientConfig(n Name, access client.AccessMethod) client.Config {
 	}
 	if access == client.PC {
 		if t := FixedDeferment(n); t > 0 {
-			cfg.Defer = deferpolicy.Fixed{T: t}
+			cfg.Defer = planner.DeferConfig{Mode: planner.DeferFixed, FixedT: t}
 		}
 	}
 	switch n {
@@ -299,7 +297,7 @@ type Options struct {
 	User string
 	// Defer overrides the service's deferment policy (for the ASD and
 	// UDS experiments). Nil keeps the service default.
-	Defer deferpolicy.Policy
+	Defer *planner.DeferConfig
 	// Cloud attaches the client to an existing cloud instance (and its
 	// dedup index) instead of creating a fresh one — how cross-user
 	// experiments share state. The existing cloud's clock must be the
@@ -379,7 +377,7 @@ func assemble(n Name, access client.AccessMethod, ccfg cloud.Config, cfg client.
 	cfg.Hardware = opts.Hardware
 	cfg.Device = opts.Hardware.Name
 	if opts.Defer != nil {
-		cfg.Defer = opts.Defer
+		cfg.Defer = *opts.Defer
 	}
 	cfg.AutoSyncRemote = opts.AutoSyncRemote
 	cfg.Tracer = opts.Tracer

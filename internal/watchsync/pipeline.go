@@ -56,9 +56,13 @@ type Pipeline struct {
 	scanned    bool // first scan done — baseline reconciled against disk
 }
 
-// NewPipeline assembles a pipeline. Call Bootstrap before the first
-// Tick to load the persisted baseline and fetch the remote listing.
+// NewPipeline assembles a pipeline; it panics on an invalid Defer
+// policy. Call Bootstrap before the first Tick to load the persisted
+// baseline and fetch the remote listing.
 func NewPipeline(src Source, exec *Executor, cfg Config) *Pipeline {
+	if err := cfg.Defer.Validate(); err != nil {
+		panic("watchsync: " + err.Error())
+	}
 	return &Pipeline{
 		src:        src,
 		exec:       exec,

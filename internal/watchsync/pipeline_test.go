@@ -141,6 +141,19 @@ func (r *rig) step(t *testing.T, now time.Duration) TickStats {
 	return st
 }
 
+// TestNewPipelineRejectsInvalidDefer: an out-of-range deferment policy
+// panics at construction instead of silently turning deferment off.
+func TestNewPipelineRejectsInvalidDefer(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("ASD with TMax 0 did not panic")
+		}
+	}()
+	NewPipeline(NewMemSource(), NewExecutor(), Config{
+		Defer: planner.DeferConfig{Mode: planner.DeferASD, Epsilon: 100 * time.Millisecond},
+	})
+}
+
 func TestPipelineLifecycle(t *testing.T) {
 	base := filepath.Join(t.TempDir(), "baseline.json")
 	r := newRig(t, 2, Config{BaselinePath: base})
